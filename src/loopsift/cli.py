@@ -1,12 +1,14 @@
 """Command-line entry points.
 
     loopsift synth --out DIR [--seed N --frames N ...]
-    loopsift sift  --input SCENARIO_DIR --out DIR [--k N --stride N ...]
-    loopsift eval  --input SCENARIO_DIR --out SIFT_OUT_DIR [--no-align]
+    loopsift sift  --input INPUT_DIR --out DIR [--k N --stride N ...]
+    loopsift eval  --input INPUT_DIR --out SIFT_OUT_DIR [--no-align]
 
+INPUT_DIR holds a dataset manifest (manifest.txt); a scenario directory
+written by ``synth`` is one, with ground-truth keys added.
 Exit codes: 0 success, 2 parse errors, 3 numeric failures, 4 I/O errors.
-All randomness flows through --seed; identical inputs (any --threads)
-produce byte-identical trace CSVs.
+``synth`` draws all its randomness from --seed; ``sift`` draws none, and
+identical inputs (any --threads) produce byte-identical trace CSVs.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,14 +30,15 @@ from .evaluation import (
     write_pr_curve_csv,
 )
 from .ingest import (
+    DatasetManifest,
     load_depth_sequence,
     load_manifest,
     load_match_log,
     load_tum_trajectory,
     write_tum_trajectory,
 )
-from .posegraph import graph_from_odometry, read_g2o
-from .sifting import sift
+from .posegraph import PoseGraph, Trajectory, graph_from_odometry, read_g2o
+from .sifting import FRAME_LOOP, sift
 from .surfels import assemble_model, build_fragments, read_ply, write_ply
 
 EXIT_PARSE = 2
@@ -65,34 +69,117 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _load_sift_inputs(input_dir):
-    """Scenario directory (candidates.csv) or plain dataset manifest."""
+@dataclass
+class Inputs:
+    """One input directory.  ``log_fragments`` is the fragment count of the
+    match log (None without one); labels, ground-truth trajectory and
+    scene are None unless the manifest names them."""
+
+    manifest: DatasetManifest
+    frames: list
+    trajectory: Trajectory
+    graph: PoseGraph
+    candidates: list
+    log_fragments: int | None
+    labels: dict | None
+    gt_trajectory: Trajectory | None
+    scene: list | None
+
+
+def _extra_path(manifest, manifest_path, key):
+    """File named by an optional manifest key, or None without the key."""
+    if key not in manifest.extras:
+        return None
+    path = os.path.join(manifest.root, manifest.extras[key])
+    if not os.path.exists(path):
+        raise ParseError(f"{manifest_path}: {key} file {path} does not exist")
+    return path
+
+
+def _odometry_information(manifest, manifest_path):
+    """Odometry edge information from odo_info_rot/odo_info_trans, if given."""
+    extras = manifest.extras
+    if "odo_info_rot" not in extras or "odo_info_trans" not in extras:
+        return None
+    try:
+        rot, trans = float(extras["odo_info_rot"]), float(extras["odo_info_trans"])
+        if rot > 0 and trans > 0:
+            return np.diag([rot] * 3 + [trans] * 3)
+    except ValueError:
+        pass
+    raise ParseError(f"{manifest_path}: odo_info_rot and odo_info_trans must be positive numbers")
+
+
+def load_inputs(input_dir) -> Inputs:
+    """Read an input directory through its manifest.  The trajectories, the
+    graph and the frame loops are checked against the depth frame count
+    before any depth frame is read.  The graph comes from ``posegraph=``,
+    else from the odometry chain of the trajectory; the candidates come
+    from ``matches=``, else from ``candidates=`` with their labels."""
     manifest_path = os.path.join(input_dir, "manifest.txt")
     if not os.path.exists(manifest_path):
         raise ParseError(f"{input_dir}: no manifest.txt found")
-    if os.path.exists(os.path.join(input_dir, "candidates.csv")):
-        scenario = synth.load_scenario(input_dir)
-        graph = synth.scenario_graph(scenario)
-        return (scenario.frames, scenario.noisy_trajectory, scenario.loop_candidates(),
-                scenario.labels(), scenario.gt_trajectory, scenario.scene, graph)
     manifest = load_manifest(manifest_path)
-    frames = load_depth_sequence(manifest)
+    n = len(manifest.depth_files)
+
     trajectory = load_tum_trajectory(manifest.trajectory_path)
+    if len(trajectory) != n:
+        raise ParseError(f"{manifest.trajectory_path}: {len(trajectory)} poses "
+                         f"for {n} depth frames")
     if manifest.posegraph_path:
         graph = read_g2o(manifest.posegraph_path)
+        if graph.node_count != n:
+            raise ParseError(f"{manifest.posegraph_path}: {graph.node_count} nodes "
+                             f"for {n} depth frames")
     else:
-        graph = graph_from_odometry(trajectory)
-    candidates = load_match_log(manifest.matches_path) if manifest.matches_path else []
-    return frames, trajectory, candidates, None, None, None, graph
+        graph = graph_from_odometry(trajectory, _odometry_information(manifest, manifest_path))
+
+    candidates, log_fragments, labels = [], None, None
+    candidates_path = _extra_path(manifest, manifest_path, "candidates")
+    if manifest.matches_path:
+        candidates, log_fragments = load_match_log(manifest.matches_path)
+    elif candidates_path:
+        pairs = synth.read_candidates_csv(candidates_path)
+        candidates = [cand for cand, _ in pairs]
+        labels = {cand.id: label for cand, label in pairs}
+        for cand in candidates:
+            if cand.kind == FRAME_LOOP and not all(0 <= e < n for e in cand.endpoints):
+                raise ParseError(f"{candidates_path}: loop {cand.id} endpoints "
+                                 f"{cand.endpoints} outside the graph's nodes 0..{n - 1}")
+
+    gt_path = _extra_path(manifest, manifest_path, "gt_trajectory")
+    gt_trajectory = load_tum_trajectory(gt_path) if gt_path else None
+    if gt_trajectory is not None and len(gt_trajectory) != n:
+        raise ParseError(f"{gt_path}: {len(gt_trajectory)} poses for {n} depth frames")
+    scene_path = _extra_path(manifest, manifest_path, "scene")
+    return Inputs(
+        manifest=manifest,
+        frames=load_depth_sequence(manifest),
+        trajectory=trajectory,
+        graph=graph,
+        candidates=candidates,
+        log_fragments=log_fragments,
+        labels=labels,
+        gt_trajectory=gt_trajectory,
+        scene=synth.read_scene(scene_path) if scene_path else None,
+    )
 
 
 def cmd_sift(args) -> int:
-    frames, trajectory, candidates, labels, gt, scene, graph = _load_sift_inputs(args.input)
+    inputs = load_inputs(args.input)
+    frames = inputs.frames
+    n_fragments = -(-len(frames) // args.k)
+    if inputs.log_fragments not in (None, n_fragments):
+        raise ParseError(
+            f"{inputs.manifest.matches_path}: registered on {inputs.log_fragments} fragments, "
+            f"but --k {args.k} splits {len(frames)} frames into {n_fragments}"
+        )
     os.makedirs(args.out, exist_ok=True)
 
-    fragments = build_fragments(frames, trajectory, k=args.k, stride=args.stride)
+    fragments = build_fragments(frames, inputs.trajectory, k=args.k, stride=args.stride)
     score_frames = frames[:: args.score_every]
-    result = sift(graph, candidates, score_frames, fragments, threads=args.threads)
+    result = sift(inputs.graph, inputs.candidates, score_frames, fragments,
+                  threads=args.threads)
 
     result.write_ranking_csv(os.path.join(args.out, "ranking.csv"))
     result.write_trace_csv(os.path.join(args.out, "trace.csv"))
@@ -109,15 +196,16 @@ def cmd_sift(args) -> int:
     write_tum_trajectory(result.baseline_trajectory, os.path.join(args.out, "trajectory_before.txt"))
     write_tum_trajectory(result.final_trajectory, os.path.join(args.out, "trajectory_after.txt"))
 
+    labels, gt, scene = inputs.labels, inputs.gt_trajectory, inputs.scene
     precision, recall = (precision_recall(result.accepted, labels)
-                         if labels is not None else (100.0, 0.0))
+                         if labels is not None else (None, None))
     rmse = (trajectory_rmse(result.final_trajectory, gt, align=args.align)
             if gt is not None else None)
     smd = (surface_mean_distance(model_after, scene) if scene else None)
     metrics = MetricsReport(
         precision=precision, recall=recall, trajectory_rmse=rmse, smd=smd,
         consistency=result.final_score,
-        loops_before=len(candidates), loops_after=len(result.accepted),
+        loops_before=len(inputs.candidates), loops_after=len(result.accepted),
     )
     metrics.write_csv(os.path.join(args.out, "metrics.csv"))
     with open(os.path.join(args.out, "metrics.txt"), "w") as f:
@@ -132,8 +220,8 @@ def cmd_sift(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    scenario = synth.load_scenario(args.input)
-    labels = scenario.labels()
+    inputs = load_inputs(args.input)
+    labels = inputs.labels
     out = args.out
 
     accepted_path = os.path.join(out, "accepted.txt")
@@ -151,16 +239,17 @@ def cmd_eval(args) -> int:
                 _, loop_id, score = line.strip().split(",")
                 ranking.append((int(loop_id), float(score)))
 
-    precision, recall = precision_recall(accepted, labels)
+    precision, recall = (precision_recall(accepted, labels)
+                         if labels is not None else (None, None))
     rmse = None
     traj_path = os.path.join(out, "trajectory_after.txt")
-    if os.path.exists(traj_path):
+    if inputs.gt_trajectory is not None and os.path.exists(traj_path):
         rmse = trajectory_rmse(load_tum_trajectory(traj_path),
-                               scenario.gt_trajectory, align=args.align)
+                               inputs.gt_trajectory, align=args.align)
     smd = None
     model_path = os.path.join(out, "model_after.ply")
-    if scenario.scene and os.path.exists(model_path):
-        smd = surface_mean_distance(read_ply(model_path), scenario.scene)
+    if inputs.scene and os.path.exists(model_path):
+        smd = surface_mean_distance(read_ply(model_path), inputs.scene)
     consistency = None
     metrics_path = os.path.join(out, "metrics.csv")
     if os.path.exists(metrics_path):
@@ -175,13 +264,23 @@ def cmd_eval(args) -> int:
         consistency=consistency,
         loops_before=len(ranking), loops_after=len(accepted),
     )
-    if ranking:
+    if labels is not None and ranking:
         write_pr_curve_csv(os.path.join(out, "pr_curve.csv"), ranking, labels, accepted)
     metrics.write_csv(os.path.join(out, "metrics.csv"))
     with open(os.path.join(out, "metrics.txt"), "w") as f:
         f.write(metrics.to_text())
     print(metrics.to_text())
     return 0
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -206,20 +305,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.set_defaults(func=cmd_synth)
 
     p_sift = sub.add_parser("sift", help="run loop sifting on a scenario or manifest")
-    p_sift.add_argument("--input", required=True, help="scenario directory or manifest dir")
+    p_sift.add_argument("--input", required=True, help="directory holding manifest.txt")
     p_sift.add_argument("--out", required=True, help="output directory")
-    p_sift.add_argument("--k", type=int, default=50, help="frames per fragment")
-    p_sift.add_argument("--stride", type=int, default=2, help="fusion pixel stride")
-    p_sift.add_argument("--threads", type=int, default=1)
-    p_sift.add_argument("--seed", type=int, default=0, help="unused; accepted for symmetry")
-    p_sift.add_argument("--score-every", type=int, default=1,
+    p_sift.add_argument("--k", type=_positive_int, default=50, help="frames per fragment")
+    p_sift.add_argument("--stride", type=_positive_int, default=2, help="fusion pixel stride")
+    p_sift.add_argument("--threads", type=_positive_int, default=1)
+    p_sift.add_argument("--score-every", type=_positive_int, default=1,
                         help="score every n-th frame (fidelity/speed knob)")
     p_sift.add_argument("--align", dest="align", action="store_true", default=True)
     p_sift.add_argument("--no-align", dest="align", action="store_false")
     p_sift.set_defaults(func=cmd_sift)
 
-    p_eval = sub.add_parser("eval", help="evaluate sift outputs against scenario ground truth")
-    p_eval.add_argument("--input", required=True, help="scenario directory")
+    p_eval = sub.add_parser("eval", help="evaluate sift outputs against the input's ground truth")
+    p_eval.add_argument("--input", required=True, help="directory holding manifest.txt")
     p_eval.add_argument("--out", required=True, help="sift output directory")
     p_eval.add_argument("--align", dest="align", action="store_true", default=True)
     p_eval.add_argument("--no-align", dest="align", action="store_false")

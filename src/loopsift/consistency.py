@@ -27,6 +27,8 @@ from .geometry import Pose
 from .surfels import CameraModel, SurfelMap
 
 TRUNCATION = 16.0
+MAX_RADIUS_PX = 4.0  # cap on a splatted disk's footprint radius
+NEAR = 0.05  # meters; surfels closer to the camera are not rendered
 
 
 def depth_noise_sigma(z: np.ndarray) -> np.ndarray:
@@ -48,20 +50,8 @@ class ConsistencyScore:
     per_frame: list  # (frame index, score) pairs, one per scored frame
     pixels_evaluated: int
 
-    def write_csv(self, path) -> None:
-        with open(path, "w") as f:
-            f.write("frame_index,score,pixels_evaluated\n")
-            for idx, score, count in self.per_frame:
-                f.write("%d,%.17g,%d\n" % (idx, score, count))
 
-
-def render_depth(
-    map_: SurfelMap,
-    pose: Pose,
-    camera: CameraModel,
-    max_radius_px: float = 4.0,
-    near: float = 0.05,
-) -> RenderedDepth:
+def render_depth(map_: SurfelMap, pose: Pose, camera: CameraModel) -> RenderedDepth:
     """Expected depth of the map seen from ``pose`` (camera-to-world).
 
     Every front-facing surfel splats onto the pixels inside its projected
@@ -79,18 +69,18 @@ def render_depth(
 
     z = p[:, 2]
     facing = np.einsum("ij,ij->i", n, p) < 0.0  # normal points back at camera
-    keep = (z > near) & facing
+    keep = (z > NEAR) & facing
     p, n = p[keep], n[keep]
     z = z[keep]
     if len(p) == 0:
         return RenderedDepth(W, H, np.zeros((H, W)))
 
     f_mean = 0.5 * (camera.fx + camera.fy)
-    r_px = np.minimum(f_mean * map_.radii[keep] / z, max_radius_px)
+    r_px = np.minimum(f_mean * map_.radii[keep] / z, MAX_RADIUS_PX)
     u = p[:, 0] / z * camera.fx + camera.cx
     v = p[:, 1] / z * camera.fy + camera.cy
-    inb = (u > -max_radius_px - 1) & (u < W + max_radius_px) & \
-          (v > -max_radius_px - 1) & (v < H + max_radius_px)
+    inb = (u > -MAX_RADIUS_PX - 1) & (u < W + MAX_RADIUS_PX) & \
+          (v > -MAX_RADIUS_PX - 1) & (v < H + MAX_RADIUS_PX)
     p, n, z, r_px, u, v = p[inb], n[inb], z[inb], r_px[inb], u[inb], v[inb]
     if len(p) == 0:
         return RenderedDepth(W, H, np.zeros((H, W)))
@@ -130,7 +120,7 @@ def render_depth(
                 denom = nx * dx + ny * dy + nz
                 safe = np.abs(denom) > 1e-6
                 zd = np.where(safe, ndp / np.where(safe, denom, 1.0), zc)
-                zd = np.maximum(np.minimum(np.maximum(zd, lo), hi), near)
+                zd = np.maximum(np.minimum(np.maximum(zd, lo), hi), NEAR)
                 px = gui + du
                 py = gvi + dv
                 ok = sel & (px >= 0) & (px < W) & (py >= 0) & (py < H)
@@ -141,17 +131,12 @@ def render_depth(
     return RenderedDepth(W, H, np.where(np.isfinite(out), out, 0.0))
 
 
-@dataclass
 class DepthConsistencyScorer:
     """Callable scorer; swap in an alternative with the same signature to
     change how maps are judged."""
 
-    truncation: float = TRUNCATION
-    max_radius_px: float = 4.0
-    near: float = 0.05
-
     def score_frame(self, map_: SurfelMap, frame, pose: Pose):
-        rendered = render_depth(map_, pose, frame.camera, self.max_radius_px, self.near)
+        rendered = render_depth(map_, pose, frame.camera)
         obs = frame.depth
         valid = obs > 0
         n_valid = int(valid.sum())
@@ -161,7 +146,7 @@ class DepthConsistencyScorer:
             return 0.0, n_comp
         zo = obs[compared]
         zr = rendered.depth[compared]
-        pen = np.minimum(((zo - zr) / depth_noise_sigma(zo)) ** 2, self.truncation)
+        pen = np.minimum(((zo - zr) / depth_noise_sigma(zo)) ** 2, TRUNCATION)
         return float(pen.sum() / n_valid), n_comp
 
     def __call__(self, map_: SurfelMap, frames, trajectory) -> ConsistencyScore:
@@ -180,6 +165,6 @@ class DepthConsistencyScorer:
         return ConsistencyScore(total, per_frame, pixels)
 
 
-def score_map(map_: SurfelMap, frames, trajectory, **kwargs) -> ConsistencyScore:
+def score_map(map_: SurfelMap, frames, trajectory) -> ConsistencyScore:
     """Score with the default depth-consistency scorer."""
-    return DepthConsistencyScorer(**kwargs)(map_, frames, trajectory)
+    return DepthConsistencyScorer()(map_, frames, trajectory)

@@ -132,10 +132,12 @@ def surface_mean_distance(model, gt_surface) -> float:
 class MetricsReport:
     """The headline numbers of one run, in the shape of the result tables:
     trajectory error, surface error, map consistency, loop precision and
-    recall, and candidate counts before/after sifting."""
+    recall, and candidate counts before/after sifting.  A number the
+    inputs cannot give (no loop labels, no ground truth) is None and
+    reads ``-``."""
 
-    precision: float
-    recall: float
+    precision: float | None
+    recall: float | None
     trajectory_rmse: float | None = None
     smd: float | None = None
     consistency: float | None = None
@@ -143,8 +145,9 @@ class MetricsReport:
     loops_after: int = 0
 
     def __post_init__(self):
-        if not (0.0 <= self.precision <= 100.0 and 0.0 <= self.recall <= 100.0):
-            raise ValueError("precision/recall must be percentages in [0, 100]")
+        for value in (self.precision, self.recall):
+            if value is not None and not 0.0 <= value <= 100.0:
+                raise ValueError("precision/recall must be percentages in [0, 100]")
 
     @staticmethod
     def _fmt(value, pattern="%.6g"):
@@ -155,8 +158,8 @@ class MetricsReport:
             ("traj. RMSE (m)", self._fmt(self.trajectory_rmse)),
             ("SMD (m)", self._fmt(self.smd)),
             ("consistency", self._fmt(self.consistency)),
-            ("precision (%)", "%.1f" % self.precision),
-            ("recall (%)", "%.1f" % self.recall),
+            ("precision (%)", self._fmt(self.precision, "%.1f")),
+            ("recall (%)", self._fmt(self.recall, "%.1f")),
             ("loops", "before %d / after %d" % (self.loops_before, self.loops_after)),
         ]
         width = max(len(name) for name, _ in rows)
@@ -168,7 +171,7 @@ class MetricsReport:
             f.write("traj_rmse_m,%s\n" % self._fmt(self.trajectory_rmse, "%.17g"))
             f.write("smd_m,%s\n" % self._fmt(self.smd, "%.17g"))
             f.write("consistency,%s\n" % self._fmt(self.consistency, "%.17g"))
-            f.write("precision_pct,%.17g\n" % self.precision)
-            f.write("recall_pct,%.17g\n" % self.recall)
+            f.write("precision_pct,%s\n" % self._fmt(self.precision, "%.17g"))
+            f.write("recall_pct,%s\n" % self._fmt(self.recall, "%.17g"))
             f.write("loops_before,%d\n" % self.loops_before)
             f.write("loops_after,%d\n" % self.loops_after)

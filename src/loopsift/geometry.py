@@ -243,9 +243,6 @@ class Pose:
         T[:3, 3] = self.t
         return T
 
-    def rotation_matrix(self) -> np.ndarray:
-        return quat_to_matrix(self.q)
-
     def rotation_angle(self) -> float:
         """Rotation magnitude in radians, in [0, pi]."""
         return float(2.0 * math.atan2(np.linalg.norm(self.q[1:]), self.q[0]))

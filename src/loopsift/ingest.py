@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ParseError
 from .geometry import Pose
-from .posegraph import Trajectory
+from .posegraph import DEFAULT_LOOP_INFO_SCALE, Trajectory
 from .sifting import FRAGMENT_LOOP, LoopCandidate
 from .surfels import CameraModel, DepthFrame, read_depth_raw, read_intrinsics
 
@@ -61,16 +61,13 @@ def load_tum_trajectory(path) -> Trajectory:
     return Trajectory.from_poses(poses)
 
 
-def write_tum_trajectory(trajectory: Trajectory, path, timestamps=None) -> None:
-    """Inverse of load_tum_trajectory; node ids become timestamps unless
-    explicit ones are given."""
-    if timestamps is None:
-        timestamps = [float(i) for i in trajectory.ids]
+def write_tum_trajectory(trajectory: Trajectory, path) -> None:
+    """Inverse of load_tum_trajectory; node ids become timestamps."""
     with open(path, "w") as f:
-        for stamp, (_, p) in zip(timestamps, trajectory):
+        for node_id, p in trajectory:
             qw, qx, qy, qz = p.q
             f.write(
-                (_FMT % stamp) + " "
+                (_FMT % node_id) + " "
                 + " ".join(_FMT % v for v in [p.t[0], p.t[1], p.t[2], qx, qy, qz, qw])
                 + "\n"
             )
@@ -80,18 +77,18 @@ def write_tum_trajectory(trajectory: Trajectory, path, timestamps=None) -> None:
 # fragment registration log (header "id_i id_j total" + 4x4 matrix rows)
 # ---------------------------------------------------------------------------
 
-def load_match_log(path, information=None) -> list:
-    """Fragment-loop candidates from a registration log.
+def load_match_log(path):
+    """Fragment-loop candidates from a registration log, and the log's
+    fragment count (None for an empty log).
 
     Each entry is five lines: ``id_i id_j total`` then the four rows of the
-    homogeneous matrix mapping fragment j's frame into fragment i's.  A
-    rotation block off orthonormal by more than 1e-3 fails, naming the
-    entry.
+    homogeneous matrix mapping fragment j's frame into fragment i's;
+    ``total`` is the number of fragments the log was registered on.  A
+    rotation block off orthonormal by more than 1e-3, a ``total`` that
+    differs from the first entry's, or a fragment id outside ``0..total-1``
+    fails, naming the entry.
     """
-    if information is None:
-        from .posegraph import DEFAULT_LOOP_INFO_SCALE
-
-        information = np.eye(6) * DEFAULT_LOOP_INFO_SCALE
+    information = np.eye(6) * DEFAULT_LOOP_INFO_SCALE
     with open(path) as f:
         lines = [ln for ln in (raw.strip() for raw in f) if ln]
     if len(lines) % 5 != 0:
@@ -100,12 +97,13 @@ def load_match_log(path, information=None) -> list:
             "(header + 4 matrix rows)"
         )
     out = []
+    total = None
     for entry, k in enumerate(range(0, len(lines), 5)):
         header = lines[k].split()
         if len(header) != 3:
             raise ParseError(f"{path}: entry {entry}: header needs 3 integers, got {lines[k]!r}")
         try:
-            i, j, _total = (int(v) for v in header)
+            i, j, entry_total = (int(v) for v in header)
         except ValueError:
             raise ParseError(f"{path}: entry {entry}: non-integer header {lines[k]!r}") from None
         rows = []
@@ -127,13 +125,22 @@ def load_match_log(path, information=None) -> list:
             raise ParseError(
                 f"{path}: entry {entry}: rotation block deviates from orthonormal beyond 1e-3"
             )
+        total = entry_total if total is None else total
+        if entry_total != total:
+            raise ParseError(
+                f"{path}: entry {entry}: total {entry_total} differs from entry 0's {total}"
+            )
+        if not (0 <= i < total and 0 <= j < total):
+            raise ParseError(
+                f"{path}: entry {entry}: fragment ids {i} {j} outside 0..{total - 1}"
+            )
         out.append(
             LoopCandidate(
                 id=entry, kind=FRAGMENT_LOOP, endpoints=(i, j),
                 measurement=Pose.from_matrix(T), information=information,
             )
         )
-    return out
+    return out, total
 
 
 def write_match_log(candidates, path, total: int | None = None) -> None:

@@ -1,8 +1,8 @@
 """Pose graph optimization over keyframe poses.
 
 The graph holds one pose per node (ids are contiguous from 0), odometry
-and covisibility edges from tracking, and optionally loop edges supplied
-at optimize() time.  ``optimize`` minimizes
+edges from tracking, and optionally loop edges supplied at optimize()
+time.  ``optimize`` minimizes
 
     sum over edges  r(e)^T . info(e) . r(e),
     r(e) = log(measurement^-1 . (T_from^-1 . T_to))
@@ -27,11 +27,14 @@ from .errors import DisconnectedGraphError, ParseError
 from .geometry import Pose
 
 ODOMETRY = "odometry"
-COVISIBILITY = "covisibility"
 LOOP = "loop"
 
 # Applied when a source format carries no information matrix for a loop edge.
 DEFAULT_LOOP_INFO_SCALE = 100.0
+
+# Levenberg-Marquardt stopping rule (see optimize)
+MAX_ITERATIONS = 100
+REL_TOL = 1e-9
 
 _FMT = "%.17g"  # round-trips float64 exactly
 
@@ -57,7 +60,7 @@ class Edge:
     def __post_init__(self):
         if self.i == self.j:
             raise ValueError(f"edge endpoints must differ, got {self.i}->{self.j}")
-        if self.kind not in (ODOMETRY, COVISIBILITY, LOOP):
+        if self.kind not in (ODOMETRY, LOOP):
             raise ValueError(f"unknown edge kind {self.kind!r}")
         info = np.asarray(self.information, dtype=float).reshape(6, 6)
         if np.max(np.abs(info - info.T)) > 1e-9:
@@ -196,19 +199,6 @@ def _cost_from_residuals(r, info) -> float:
     return float(np.einsum("ek,ekl,el->", r, info, r))
 
 
-def graph_cost(graph: PoseGraph, loops=(), trajectory: Trajectory | None = None) -> float:
-    """Objective value of graph edges plus the given loop edges."""
-    edges = list(graph.edges) + list(loops)
-    poses = trajectory.poses if trajectory is not None else graph.poses
-    if not edges:
-        return 0.0
-    qs = np.stack([p.q for p in poses])
-    ts = np.stack([p.t for p in poses])
-    ii, jj, mq, mt, info = _edge_arrays(edges)
-    r, _, _ = _residuals(qs, ts, ii, jj, mq, mt)
-    return _cost_from_residuals(r, info)
-
-
 def _check_connected(n, edges, fixed_id):
     adj = [[] for _ in range(n)]
     for e in edges:
@@ -231,20 +221,15 @@ def _check_connected(n, edges, fixed_id):
         )
 
 
-def optimize(
-    graph: PoseGraph,
-    loops=(),
-    max_iterations: int = 100,
-    rel_tol: float = 1e-9,
-) -> OptimizeResult:
+def optimize(graph: PoseGraph, loops=()) -> OptimizeResult:
     """Minimize the graph objective over all non-fixed poses.
 
     Pure function of its inputs: concurrent calls on a shared graph are
     safe.  Converges when an accepted step is tiny and the relative cost
-    decrease drops below ``rel_tol`` (the step condition keeps damped
+    decrease drops below ``REL_TOL`` (the step condition keeps damped
     iterations from stopping short of stationarity), or when damping can
     find no descent direction at float precision.  Hitting
-    ``max_iterations`` returns the best iterate with ``converged=False``.
+    ``MAX_ITERATIONS`` returns the best iterate with ``converged=False``.
     """
     loops = list(loops)
     for e in loops:
@@ -296,7 +281,7 @@ def optimize(
     iterations = 0
     converged = cost < 1e-24  # numerically zero residuals: nothing to do
 
-    while not converged and iterations < max_iterations:
+    while not converged and iterations < MAX_ITERATIONS:
         jri = geo.se3_right_jacobian_inverse(r)
         adj = geo.se3_adjoint(ji_q, ji_t)
         Jj = jri
@@ -324,14 +309,8 @@ def optimize(
         accepted = False
         for _ in range(16):
             damped = H + sp.diags(lam * np.maximum(diag, 1e-12))
-            if nv <= 120:
-                try:
-                    delta = np.linalg.solve(damped.toarray(), -g)
-                except np.linalg.LinAlgError:
-                    delta = None
-            else:
-                delta = spla.spsolve(damped, -g)
-            if delta is None or not np.all(np.isfinite(delta)):
+            delta = spla.spsolve(damped, -g)
+            if not np.all(np.isfinite(delta)):
                 lam *= 10.0
                 continue
 
@@ -364,7 +343,7 @@ def optimize(
         lam = max(lam / 10.0, 1e-15)
         # small relative decrease alone can fire while damped steps are still
         # undershooting; require the step itself to have shrunk too
-        if decrease <= rel_tol * max(cost, 1e-300) and step_size < 1e-9:
+        if decrease <= REL_TOL * max(cost, 1e-300) and step_size < 1e-9:
             converged = True
         if cost < 1e-24:
             converged = True

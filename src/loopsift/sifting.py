@@ -212,7 +212,7 @@ def _evaluate(graph, edges, frames, fragments, scorer):
         score_poses = fragment_consistent_trajectory(fragments, result.trajectory)
         score = scorer(model, frames, score_poses)
         return score.value, result.trajectory, ""
-    except (NumericsError, np.linalg.LinAlgError, ValueError) as exc:
+    except (NumericsError, np.linalg.LinAlgError) as exc:
         return np.inf, None, f"{type(exc).__name__}: {exc}"
 
 
@@ -241,19 +241,17 @@ def rank_loops(graph, candidates, frames, fragments, scorer=None, threads: int =
     return [(unit_id, value) for unit_id, value, _ in results]
 
 
-def greedy_accept(graph, candidates, ranked, frames, fragments, baseline,
-                  scorer=None, epsilon_rel: float = EPSILON_REL) -> SiftResult:
+def greedy_accept(graph, candidates, ranked, frames, fragments,
+                  baseline_score: float, baseline_trajectory: Trajectory,
+                  scorer=None) -> SiftResult:
     """Walk the ranking, keeping each unit only if the full tentative set
-    strictly improves the incumbent best score."""
+    strictly improves the incumbent best score, starting from the
+    baseline's score and trajectory."""
     scorer = scorer or DepthConsistencyScorer()
     unit_map = dict(_units(candidates))
-    baseline_value = baseline.value if hasattr(baseline, "value") else float(baseline)
 
-    base_result = optimize(graph)
-    baseline_traj = base_result.trajectory
-
-    incumbent = baseline_value
-    best_traj = baseline_traj
+    incumbent = baseline_score
+    best_traj = baseline_trajectory
     accepted_ids = []
     accepted_edges = []
     trace = []
@@ -264,7 +262,7 @@ def greedy_accept(graph, candidates, ranked, frames, fragments, baseline,
             raise ValueError(f"ranked unit {unit_id} not among candidates")
         tentative = accepted_edges + [c.edge() for c in members]
         value, trajectory, note = _evaluate(graph, tentative, frames, fragments, scorer)
-        improves = value < incumbent - epsilon_rel * abs(incumbent)
+        improves = value < incumbent - EPSILON_REL * abs(incumbent)
         if improves and trajectory is not None:
             accepted_ids.append(unit_id)
             accepted_edges = tentative
@@ -279,22 +277,22 @@ def greedy_accept(graph, candidates, ranked, frames, fragments, baseline,
     return SiftResult(
         accepted=accepted_ids,
         ranking=list(ranked),
-        baseline_score=baseline_value,
+        baseline_score=baseline_score,
         final_score=incumbent,
         trace=trace,
-        baseline_trajectory=baseline_traj,
+        baseline_trajectory=baseline_trajectory,
         final_trajectory=best_traj,
         accepted_edges=accepted_edges,
     )
 
 
 def sift(graph: PoseGraph, candidates, frames, fragments,
-         scorer=None, threads: int = 1, epsilon_rel: float = EPSILON_REL) -> SiftResult:
+         scorer=None, threads: int = 1) -> SiftResult:
     """Full pipeline: baseline score, per-loop ranking, greedy acceptance.
 
     ``frames`` is the observation set used for scoring; ``fragments`` must
     be prebuilt from the same graph's trajectory.  No acceptance threshold
-    is exposed.
+    is exposed.  A baseline that fails to evaluate raises NumericsError.
     """
     scorer = scorer or DepthConsistencyScorer()
     span = max((f.frame_count for f in fragments), default=1)
@@ -307,13 +305,12 @@ def sift(graph: PoseGraph, candidates, frames, fragments,
 
     expanded = _expand_all(candidates, fragments)
 
-    base_result = optimize(graph)
-    baseline_model = assemble_model(fragments, base_result.trajectory)
-    baseline_poses = fragment_consistent_trajectory(fragments, base_result.trajectory)
-    baseline = scorer(baseline_model, frames, baseline_poses)
+    baseline, baseline_trajectory, note = _evaluate(graph, [], frames, fragments, scorer)
+    if baseline_trajectory is None:
+        raise NumericsError(f"baseline without loops failed to evaluate: {note}")
 
     ranked = rank_loops(graph, expanded, frames, fragments, scorer=scorer, threads=threads)
     return greedy_accept(
-        graph, expanded, ranked, frames, fragments, baseline,
-        scorer=scorer, epsilon_rel=epsilon_rel,
+        graph, expanded, ranked, frames, fragments, baseline, baseline_trajectory,
+        scorer=scorer,
     )

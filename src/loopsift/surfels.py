@@ -47,16 +47,6 @@ class CameraModel:
         if self.width < 1 or self.height < 1:
             raise ValueError("image dimensions must be positive")
 
-    def scaled(self, factor: float) -> "CameraModel":
-        return CameraModel(
-            self.fx * factor,
-            self.fy * factor,
-            self.cx * factor,
-            self.cy * factor,
-            int(round(self.width * factor)),
-            int(round(self.height * factor)),
-        )
-
 
 @dataclass
 class DepthFrame:
@@ -88,19 +78,6 @@ class DepthFrame:
         return self.camera.height
 
 
-@dataclass(frozen=True)
-class Surfel:
-    """Scalar view of one surfel (see SurfelMap for the array storage)."""
-
-    position: np.ndarray
-    normal: np.ndarray
-    color: np.ndarray
-    weight: float
-    radius: float
-    t0: int
-    t: int
-
-
 class SurfelMap:
     """Surfels as parallel arrays; cheap to transform and concatenate."""
 
@@ -128,12 +105,6 @@ class SurfelMap:
 
     def __len__(self) -> int:
         return len(self.positions)
-
-    def surfel(self, k: int) -> Surfel:
-        return Surfel(
-            self.positions[k].copy(), self.normals[k].copy(), self.colors[k].copy(),
-            float(self.weights[k]), float(self.radii[k]), int(self.t0[k]), int(self.t[k]),
-        )
 
     def copy(self) -> "SurfelMap":
         return SurfelMap(

@@ -22,16 +22,10 @@ import numpy as np
 from . import geometry as geo
 from .errors import ParseError
 from .geometry import Pose
-from .posegraph import Trajectory
+from .ingest import write_tum_trajectory
+from .posegraph import Trajectory, graph_from_odometry
 from .sifting import LoopCandidate
-from .surfels import (
-    CameraModel,
-    DepthFrame,
-    read_depth_raw,
-    read_intrinsics,
-    write_depth_raw,
-    write_intrinsics,
-)
+from .surfels import CameraModel, DepthFrame, write_depth_raw, write_intrinsics
 
 DEPTH_SCALE = 1000.0  # exported raw depth is in millimeters
 
@@ -186,9 +180,6 @@ class ScenarioConfig:
     false_offset_trans: tuple = (0.3, 0.8)
     false_offset_rot_deg: tuple = (10.0, 30.0)
     min_loop_gap: int = 60
-    # None: derive the loop information from the stated true-loop noise
-    # bound (1/bound^2 per axis); a float gives uniform scale * identity
-    loop_info_scale: float | None = None
     depth_noise: float = 0.0
 
     def camera(self) -> CameraModel:
@@ -219,8 +210,6 @@ class Scenario:
 
 def scenario_graph(scenario: Scenario):
     """Odometry pose graph of the scenario's tracking trajectory."""
-    from .posegraph import graph_from_odometry
-
     info = scenario.odometry_information
     return graph_from_odometry(scenario.noisy_trajectory, info if info is not None else 1.0)
 
@@ -327,15 +316,12 @@ def generate(config: ScenarioConfig, seed: int) -> Scenario:
     pairs = true_pairs + false_pairs
 
     rot_max = np.deg2rad(config.true_noise_rot_deg)
-    if config.loop_info_scale is None:
-        # candidates report the registration method's nominal accuracy;
-        # with a quality mix that is the good band, which the sloppy half
-        # silently exceeds (confidently wrong loops)
-        nominal = 0.25 if config.true_noise_mix > 0 else 1.0
-        info = np.diag([1.0 / max(nominal * rot_max, 1e-4) ** 2] * 3
-                       + [1.0 / max(nominal * config.true_noise_trans, 1e-4) ** 2] * 3)
-    else:
-        info = np.eye(6) * config.loop_info_scale
+    # candidates report the registration method's nominal accuracy (1/bound^2
+    # per axis); with a quality mix that is the good band, which the sloppy
+    # half silently exceeds (confidently wrong loops)
+    nominal = 0.25 if config.true_noise_mix > 0 else 1.0
+    info = np.diag([1.0 / max(nominal * rot_max, 1e-4) ** 2] * 3
+                   + [1.0 / max(nominal * config.true_noise_trans, 1e-4) ** 2] * 3)
     true_rng = stream(seed, "loops-true")
     false_rng = stream(seed, "loops-false")
     false_rot = tuple(np.deg2rad(v) for v in config.false_offset_rot_deg)
@@ -374,19 +360,8 @@ def generate(config: ScenarioConfig, seed: int) -> Scenario:
 
 
 # ---------------------------------------------------------------------------
-# scenario directory export / import
+# scenario directory export (a dataset manifest plus ground truth)
 # ---------------------------------------------------------------------------
-
-def write_tum(path, trajectory: Trajectory) -> None:
-    with open(path, "w") as f:
-        for node_id, p in trajectory:
-            qw, qx, qy, qz = p.q
-            f.write(
-                ("%d " % node_id)
-                + " ".join(_FMT % v for v in [p.t[0], p.t[1], p.t[2], qx, qy, qz, qw])
-                + "\n"
-            )
-
 
 def write_candidates_csv(path, candidates) -> None:
     """Information matrices are stored as their rotation/translation block
@@ -474,8 +449,8 @@ def export_scenario(scenario: Scenario, out_dir) -> None:
         write_depth_raw(
             frame.depth, os.path.join(depth_dir, "frame_%06d.raw" % frame.index), DEPTH_SCALE
         )
-    write_tum(os.path.join(out_dir, "gt.txt"), scenario.gt_trajectory)
-    write_tum(os.path.join(out_dir, "noisy.txt"), scenario.noisy_trajectory)
+    write_tum_trajectory(scenario.gt_trajectory, os.path.join(out_dir, "gt.txt"))
+    write_tum_trajectory(scenario.noisy_trajectory, os.path.join(out_dir, "noisy.txt"))
     write_candidates_csv(os.path.join(out_dir, "candidates.csv"), scenario.candidates)
     write_scene(os.path.join(out_dir, "scene.txt"), scenario.scene)
     with open(os.path.join(out_dir, "manifest.txt"), "w") as f:
@@ -490,39 +465,3 @@ def export_scenario(scenario: Scenario, out_dir) -> None:
             info = scenario.odometry_information
             f.write("odo_info_rot=%s\n" % (_FMT % info[0, 0]))
             f.write("odo_info_trans=%s\n" % (_FMT % info[3, 3]))
-
-
-def load_scenario(scenario_dir) -> Scenario:
-    """Rebuild a scenario from an exported directory (frames come back
-    quantized to the raw millimeter depth format)."""
-    from .ingest import load_tum_trajectory  # local import avoids a cycle
-
-    intr_path = os.path.join(scenario_dir, "intrinsics.txt")
-    if not os.path.exists(intr_path):
-        raise ParseError(f"{scenario_dir}: missing intrinsics.txt")
-    camera, depth_scale = read_intrinsics(intr_path)
-    depth_dir = os.path.join(scenario_dir, "depth")
-    names = sorted(fn for fn in os.listdir(depth_dir) if fn.endswith(".raw"))
-    frames = [
-        DepthFrame(read_depth_raw(os.path.join(depth_dir, fn), camera, depth_scale), camera, i)
-        for i, fn in enumerate(names)
-    ]
-    gt = load_tum_trajectory(os.path.join(scenario_dir, "gt.txt"))
-    noisy = load_tum_trajectory(os.path.join(scenario_dir, "noisy.txt"))
-    candidates = read_candidates_csv(os.path.join(scenario_dir, "candidates.csv"))
-    scene_path = os.path.join(scenario_dir, "scene.txt")
-    scene = read_scene(scene_path) if os.path.exists(scene_path) else []
-    odo_info = None
-    manifest_path = os.path.join(scenario_dir, "manifest.txt")
-    if os.path.exists(manifest_path):
-        values = {}
-        with open(manifest_path) as f:
-            for line in f:
-                if "=" in line:
-                    key, _, val = line.strip().partition("=")
-                    values[key] = val
-        if "odo_info_rot" in values and "odo_info_trans" in values:
-            odo_info = np.diag(
-                [float(values["odo_info_rot"])] * 3 + [float(values["odo_info_trans"])] * 3
-            )
-    return Scenario(scene, gt, noisy, frames, candidates, odometry_information=odo_info)

@@ -404,7 +404,7 @@ def test_criterion_6_numerical_invariants(tmp_path):
         for k in range(3)
     ]
     write_match_log(loops, tmp_path / "m.log")
-    log_back = load_match_log(tmp_path / "m.log")
+    log_back, _ = load_match_log(tmp_path / "m.log")
     log_err = max(
         float(np.max(np.abs(a.measurement.to_matrix() - b.measurement.to_matrix())))
         for a, b in zip(loops, log_back)

@@ -1,9 +1,15 @@
 import os
+import shutil
 
 import numpy as np
 import pytest
 
-from loopsift import cli
+from loopsift import cli, synth
+from loopsift import geometry as geo
+from loopsift.ingest import write_match_log, write_tum_trajectory
+from loopsift.posegraph import write_g2o
+from loopsift.sifting import FRAGMENT_LOOP, LoopCandidate
+from loopsift.surfels import write_depth_raw, write_intrinsics
 
 
 SYNTH_ARGS = [
@@ -23,6 +29,54 @@ def run_sift(scenario_dir, out_dir, threads="1"):
         "sift", "--input", str(scenario_dir), "--out", str(out_dir),
         "--k", "6", "--stride", "4", "--score-every", "4", "--threads", threads,
     ])
+
+
+def sift_outputs(out_dir):
+    return {name: (out_dir / name).read_bytes() for name in
+            ("ranking.csv", "trace.csv", "accepted.txt", "trajectory_after.txt")}
+
+
+def read_metrics(out_dir):
+    lines = (out_dir / "metrics.csv").read_text().strip().split("\n")[1:]
+    return dict(line.split(",") for line in lines)
+
+
+def write_dataset(root):
+    """Plain dataset manifest of a 36-frame synthetic run: raw depth, TUM
+    trajectory, g2o odometry graph, and a match log of three true fragment
+    loops, each pairing a 6-frame fragment with its revisit one lap later."""
+    config = synth.ScenarioConfig(frames=36, width=48, height=36, focal=40.0,
+                                  n_true_loops=0, n_false_loops=0, min_loop_gap=14)
+    scenario = synth.generate(config, seed=7)
+    os.makedirs(root / "depth")
+    write_intrinsics(root / "intrinsics.txt", scenario.frames[0].camera, synth.DEPTH_SCALE)
+    for frame in scenario.frames:
+        write_depth_raw(frame.depth, root / "depth" / ("frame_%06d.raw" % frame.index),
+                        synth.DEPTH_SCALE)
+    write_tum_trajectory(scenario.noisy_trajectory, root / "trajectory.txt")
+    write_g2o(synth.scenario_graph(scenario), root / "posegraph.g2o")
+    gt = scenario.gt_trajectory
+    ref_frames = range(2, 36, 6)  # middle frame of each 6-frame fragment
+    loops = [
+        LoopCandidate(id=a, kind=FRAGMENT_LOOP, endpoints=(a, a + 3),
+                      measurement=geo.compose(geo.inverse(gt.pose(ref_frames[a])),
+                                              gt.pose(ref_frames[a + 3])))
+        for a in range(3)
+    ]
+    write_match_log(loops, root / "matches.log", total=6)
+    (root / "manifest.txt").write_text(
+        "depth_dir=depth\nintrinsics=intrinsics.txt\ndepth_scale=1000\n"
+        "trajectory=trajectory.txt\nposegraph=posegraph.g2o\nmatches=matches.log\n"
+    )
+
+
+@pytest.fixture(scope="module")
+def dataset_run(tmp_path_factory):
+    """A dataset manifest and the output of one sift on it."""
+    root = tmp_path_factory.mktemp("dataset")
+    write_dataset(root / "input")
+    assert run_sift(root / "input", root / "sift") == 0
+    return root / "input", root / "sift"
 
 
 class TestSynthCommand:
@@ -105,6 +159,97 @@ class TestSiftCommand:
         assert outs[0] == outs[1] == outs[2]
 
 
+    @pytest.mark.parametrize("flag", ["--k", "--stride", "--score-every", "--threads"])
+    def test_non_positive_flag_rejected(self, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sift", "--input", str(tmp_path), "--out", str(tmp_path / "out"),
+                      flag, "0"])
+        assert exc.value.code == cli.EXIT_PARSE
+        assert "'0' is not a positive integer" in capsys.readouterr().err
+
+    def test_ground_truth_lines_do_not_change_outputs(self, scenario_dir, tmp_path):
+        bare = tmp_path / "bare"
+        shutil.copytree(scenario_dir, bare)
+        manifest = (bare / "manifest.txt").read_text().split("\n")
+        (bare / "manifest.txt").write_text("\n".join(
+            line for line in manifest
+            if not line.startswith(("gt_trajectory=", "scene="))))
+        assert run_sift(scenario_dir, tmp_path / "full") == 0
+        assert run_sift(bare, tmp_path / "bare_out") == 0
+        assert sift_outputs(tmp_path / "full") == sift_outputs(tmp_path / "bare_out")
+        assert read_metrics(tmp_path / "full")["traj_rmse_m"] != "-"
+        assert read_metrics(tmp_path / "bare_out")["traj_rmse_m"] == "-"
+        assert read_metrics(tmp_path / "bare_out")["smd_m"] == "-"
+
+
+class TestDatasetManifest:
+    def test_sift_with_g2o_graph_and_match_log(self, dataset_run):
+        _, out = dataset_run
+        assert (out / "accepted.txt").read_text().split()  # at least one loop kept
+        trace_lines = (out / "trace.csv").read_text().strip().split("\n")
+        assert len(trace_lines) == 1 + 3  # one atomic unit per fragment loop
+        assert not (out / "pr_curve.csv").exists()
+
+    def test_unlabeled_precision_and_recall_read_dash(self, dataset_run):
+        _, out = dataset_run
+        metrics = read_metrics(out)
+        assert int(metrics["loops_after"]) >= 1
+        assert metrics["precision_pct"] == "-" and metrics["recall_pct"] == "-"
+        rows = [line.split() for line in (out / "metrics.txt").read_text().splitlines()]
+        assert ["precision", "(%)", "-"] in rows and ["recall", "(%)", "-"] in rows
+
+
+class TestInputCrossChecks:
+    """Inputs that contradict each other exit with the parse code, naming
+    the file, before any fragment is fused."""
+
+    @staticmethod
+    def expect_parse_error(input_dir, out_dir, capsys, filename, k="6"):
+        code = cli.main(["sift", "--input", str(input_dir), "--out", str(out_dir), "--k", k])
+        assert code == cli.EXIT_PARSE
+        assert filename in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_trajectory_shorter_than_frames(self, scenario_dir, tmp_path, capsys):
+        bad = tmp_path / "bad"
+        shutil.copytree(scenario_dir, bad)
+        lines = (bad / "noisy.txt").read_text().splitlines(keepends=True)
+        (bad / "noisy.txt").write_text("".join(lines[:-1]))
+        self.expect_parse_error(bad, tmp_path / "out", capsys, "noisy.txt: 35 poses for 36")
+
+    def test_ground_truth_shorter_than_frames(self, scenario_dir, tmp_path, capsys):
+        bad = tmp_path / "bad"
+        shutil.copytree(scenario_dir, bad)
+        lines = (bad / "gt.txt").read_text().splitlines(keepends=True)
+        (bad / "gt.txt").write_text("".join(lines[:-1]))
+        self.expect_parse_error(bad, tmp_path / "out", capsys, "gt.txt: 35 poses for 36")
+
+    def test_graph_nodes_differ_from_frames(self, dataset_run, tmp_path, capsys):
+        bad = tmp_path / "bad"
+        shutil.copytree(dataset_run[0], bad)
+        lines = (bad / "posegraph.g2o").read_text().splitlines(keepends=True)
+        (bad / "posegraph.g2o").write_text("".join(
+            line for line in lines
+            if not line.startswith(("VERTEX_SE3:QUAT 35 ", "EDGE_SE3:QUAT 34 35 "))))
+        self.expect_parse_error(bad, tmp_path / "out", capsys,
+                                "posegraph.g2o: 35 nodes for 36")
+
+    def test_frame_loop_outside_graph(self, scenario_dir, tmp_path, capsys):
+        bad = tmp_path / "bad"
+        shutil.copytree(scenario_dir, bad)
+        lines = (bad / "candidates.csv").read_text().splitlines(keepends=True)
+        fields = lines[1].split(",")
+        fields[3] = "36"
+        lines[1] = ",".join(fields)
+        (bad / "candidates.csv").write_text("".join(lines))
+        self.expect_parse_error(bad, tmp_path / "out", capsys,
+                                "candidates.csv: loop 0 endpoints")
+
+    def test_match_log_fragments_differ_from_k(self, dataset_run, tmp_path, capsys):
+        self.expect_parse_error(dataset_run[0], tmp_path / "out", capsys,
+                                "matches.log: registered on 6 fragments, but --k 4", k="4")
+
+
 class TestEvalCommand:
     def test_eval_after_sift(self, tmp_path, capsys):
         scn = tmp_path / "scn"
@@ -119,6 +264,13 @@ class TestEvalCommand:
         pr = (out / "pr_curve.csv").read_text().strip().split("\n")
         assert pr[0] == "recall,precision,loop_id,accepted"
         assert len(pr) == 1 + 5
+
+    def test_eval_of_unlabeled_dataset(self, dataset_run, capsys):
+        input_dir, out = dataset_run
+        capsys.readouterr()
+        assert cli.main(["eval", "--input", str(input_dir), "--out", str(out)]) == 0
+        assert read_metrics(out)["precision_pct"] == "-"
+        assert not (out / "pr_curve.csv").exists()
 
     def test_eval_without_sift_fails(self, tmp_path):
         scn = tmp_path / "scn"

@@ -149,12 +149,3 @@ class TestScoreMap:
         fused, _, traj = make_plane_scene()
         with pytest.raises(ValueError):
             cons.score_map(fused, [], traj)
-
-    def test_csv_export(self, tmp_path):
-        fused, frames, traj = make_plane_scene()
-        score = cons.score_map(fused, frames, traj)
-        path = tmp_path / "breakdown.csv"
-        score.write_csv(path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "frame_index,score,pixels_evaluated"
-        assert len(lines) == 1 + len(frames)

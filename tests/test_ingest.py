@@ -63,7 +63,8 @@ class TestMatchLog:
         path.write_text(
             "0 2 3\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n"
         )
-        loops = ingest.load_match_log(path)
+        loops, total = ingest.load_match_log(path)
+        assert total == 3
         assert len(loops) == 1
         assert loops[0].kind == FRAGMENT_LOOP
         assert loops[0].endpoints == (0, 2)
@@ -96,11 +97,32 @@ class TestMatchLog:
             )
         path = tmp_path / "matches.log"
         ingest.write_match_log(loops, path, total=8)
-        back = ingest.load_match_log(path)
+        back, total = ingest.load_match_log(path)
+        assert total == 8
         assert len(back) == len(loops)
         for a, b in zip(loops, back):
             assert a.endpoints == b.endpoints
             assert np.max(np.abs(a.measurement.to_matrix() - b.measurement.to_matrix())) < 1e-12
+
+    def test_total_mismatch_names_entry(self, tmp_path):
+        path = tmp_path / "matches.log"
+        path.write_text(
+            "0 1 3\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n"
+            "1 2 4\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n"
+        )
+        with pytest.raises(ParseError, match="entry 1: total 4"):
+            ingest.load_match_log(path)
+
+    def test_fragment_id_outside_total_rejected(self, tmp_path):
+        path = tmp_path / "matches.log"
+        path.write_text("0 3 3\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
+        with pytest.raises(ParseError, match="entry 0: fragment ids 0 3 outside 0..2"):
+            ingest.load_match_log(path)
+
+    def test_empty_log_has_no_total(self, tmp_path):
+        path = tmp_path / "matches.log"
+        path.write_text("")
+        assert ingest.load_match_log(path) == ([], None)
 
 
 class TestManifestAndDepth:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from loopsift import posegraph as pg
 from loopsift import sifting
 from loopsift import synth
 from loopsift.consistency import ConsistencyScore, DepthConsistencyScorer
+from loopsift.errors import NumericsError
 from loopsift.geometry import Pose
 from loopsift.surfels import assemble_model, build_fragments, fragment_consistent_trajectory
 
@@ -149,6 +152,16 @@ class TestRankLoops:
         for loop_id, score in ranked:
             assert score == pytest.approx(direct[loop_id], rel=1e-12)
 
+    def test_scorer_error_is_not_a_rejected_loop(self, scenario):
+        scn, graph, fragments, frames = scenario
+
+        def broken(map_, frames, trajectory):
+            raise ValueError("scorer bug")
+
+        with pytest.raises(ValueError, match="scorer bug"):
+            sifting.rank_loops(graph, scn.loop_candidates()[:1], frames, fragments,
+                               scorer=broken)
+
     def test_threads_do_not_change_result(self, scenario):
         scn, graph, fragments, frames = scenario
         cands = scn.loop_candidates()
@@ -160,8 +173,7 @@ class TestRankLoops:
 class TestGreedyAccept:
     def test_empty_ranking(self, scenario):
         scn, graph, fragments, frames = scenario
-        baseline = ConsistencyScore(7.0, [], 0)
-        result = sifting.greedy_accept(graph, [], [], frames, fragments, baseline)
+        result = sifting.greedy_accept(graph, [], [], frames, fragments, 7.0, graph.trajectory())
         assert result.accepted == []
         assert result.final_score == 7.0
         assert result.baseline_score == 7.0
@@ -170,9 +182,9 @@ class TestGreedyAccept:
         scn, graph, fragments, frames = scenario
         cand = scn.loop_candidates()[0]
         scorer = ConstantScorer(5.0)
-        baseline = ConsistencyScore(5.0, [], 0)
         result = sifting.greedy_accept(
-            graph, [cand], [(cand.id, 5.0)], frames, fragments, baseline, scorer=scorer
+            graph, [cand], [(cand.id, 5.0)], frames, fragments, 5.0, graph.trajectory(),
+            scorer=scorer,
         )
         assert result.accepted == []
         assert result.final_score == 5.0
@@ -220,6 +232,36 @@ class TestSift:
         before = trajectory_rmse(scn.noisy_trajectory, scn.gt_trajectory, align=True)
         after = trajectory_rmse(result.final_trajectory, scn.gt_trajectory, align=True)
         assert after < before
+
+    def test_one_optimize_per_evaluation(self, scenario, monkeypatch):
+        scn, graph, fragments, frames = scenario
+        calls = []
+        real = sifting.optimize
+
+        def counting(graph, loops=()):
+            calls.append(len(loops))
+            return real(graph, loops)
+
+        monkeypatch.setattr(sifting, "optimize", counting)
+        result = sifting.sift(graph, scn.loop_candidates(), frames, fragments,
+                              scorer=ConstantScorer())
+        units = len(result.ranking)
+        assert units == len(scn.loop_candidates())
+        # the baseline, then each unit once in ranking and once in the greedy pass
+        assert len(calls) == 1 + 2 * units
+        assert calls[0] == 0
+
+    def test_baseline_failure_raises_numerics_error(self, scenario, monkeypatch):
+        scn, graph, fragments, frames = scenario
+        real = sifting.optimize
+
+        def stalled(graph, loops=()):
+            return dataclasses.replace(real(graph, loops), converged=False)
+
+        monkeypatch.setattr(sifting, "optimize", stalled)
+        with pytest.raises(NumericsError, match="did not converge"):
+            sifting.sift(graph, scn.loop_candidates(), frames, fragments,
+                         scorer=ConstantScorer())
 
     def test_adjacent_frame_loop_rejected(self, scenario):
         scn, graph, fragments, frames = scenario
