@@ -71,12 +71,12 @@ def cmd_synth(args) -> int:
 
 @dataclass
 class Inputs:
-    """One input directory.  ``log_fragments`` is the fragment count of the
-    match log (None without one); labels, ground-truth trajectory and
-    scene are None unless the manifest names them."""
+    """One input directory, without its depth frames.  ``log_fragments``
+    is the fragment count of the match log (None without one); labels,
+    ground-truth trajectory and scene are None unless the manifest names
+    them."""
 
     manifest: DatasetManifest
-    frames: list
     trajectory: Trajectory
     graph: PoseGraph
     candidates: list
@@ -111,9 +111,9 @@ def _odometry_information(manifest, manifest_path):
 
 
 def load_inputs(input_dir) -> Inputs:
-    """Read an input directory through its manifest.  The trajectories, the
-    graph and the frame loops are checked against the depth frame count
-    before any depth frame is read.  The graph comes from ``posegraph=``,
+    """Read an input directory through its manifest, decoding no depth
+    frame.  The trajectories, the graph and the frame loops are checked
+    against the depth frame count.  The graph comes from ``posegraph=``,
     else from the odometry chain of the trajectory; the candidates come
     from ``matches=``, else from ``candidates=`` with their labels."""
     manifest_path = os.path.join(input_dir, "manifest.txt")
@@ -154,7 +154,6 @@ def load_inputs(input_dir) -> Inputs:
     scene_path = _extra_path(manifest, manifest_path, "scene")
     return Inputs(
         manifest=manifest,
-        frames=load_depth_sequence(manifest),
         trajectory=trajectory,
         graph=graph,
         candidates=candidates,
@@ -165,19 +164,27 @@ def load_inputs(input_dir) -> Inputs:
     )
 
 
+def _fuse(inputs: Inputs, args):
+    """Decode the depth sequence and fuse it into fragments; returns them
+    with the frames ``sift`` scores.  The other frames are freed on
+    return, before any evaluation."""
+    frames = load_depth_sequence(inputs.manifest)
+    fragments = build_fragments(frames, inputs.trajectory, k=args.k, stride=args.stride)
+    return fragments, frames[:: args.score_every]
+
+
 def cmd_sift(args) -> int:
     inputs = load_inputs(args.input)
-    frames = inputs.frames
-    n_fragments = -(-len(frames) // args.k)
+    n_frames = len(inputs.manifest.depth_files)
+    n_fragments = -(-n_frames // args.k)
     if inputs.log_fragments not in (None, n_fragments):
         raise ParseError(
             f"{inputs.manifest.matches_path}: registered on {inputs.log_fragments} fragments, "
-            f"but --k {args.k} splits {len(frames)} frames into {n_fragments}"
+            f"but --k {args.k} splits {n_frames} frames into {n_fragments}"
         )
-    os.makedirs(args.out, exist_ok=True)
 
-    fragments = build_fragments(frames, inputs.trajectory, k=args.k, stride=args.stride)
-    score_frames = frames[:: args.score_every]
+    fragments, score_frames = _fuse(inputs, args)
+    os.makedirs(args.out, exist_ok=True)
     result = sift(inputs.graph, inputs.candidates, score_frames, fragments,
                   threads=args.threads)
 

@@ -1,8 +1,9 @@
 """Dense model fusion with surfels, organized as rigid fragments.
 
 Depth frames are back-projected and fused into surfel maps.  Each surfel
-carries position, normal, color, weight, radius, and two timestamps (the
-frame that created it and the frame that last touched it).  Fusion of a
+carries four fields: a position, a normal and a radius, which the
+consistency score reads, and a weight (the number of observations fused
+into it), which fusion averages with.  Fusion of a
 whole sequence goes through fragments: blocks of k consecutive frames
 fused in the reference frame of the block, so that a trajectory update
 only requires moving each fragment rigidly instead of re-fusing
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry as geo
+from .errors import ParseError
 from .geometry import Pose
 
 MIN_RADIUS = 1e-3  # meters
@@ -42,8 +44,10 @@ class CameraModel:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
+        if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):  # rejects NaN too
+            raise ValueError("focal lengths must be positive and finite")
+        if not (np.isfinite(self.cx) and np.isfinite(self.cy)):
+            raise ValueError("principal point must be finite")
         if self.width < 1 or self.height < 1:
             raise ValueError("image dimensions must be positive")
 
@@ -55,7 +59,6 @@ class DepthFrame:
     depth: np.ndarray
     camera: CameraModel
     index: int
-    color: np.ndarray | None = None
 
     def __post_init__(self):
         self.depth = np.asarray(self.depth, dtype=float)
@@ -69,47 +72,32 @@ class DepthFrame:
         if np.any(self.depth < 0):
             raise ValueError("depth image contains negative values")
 
-    @property
-    def width(self) -> int:
-        return self.camera.width
-
-    @property
-    def height(self) -> int:
-        return self.camera.height
-
 
 class SurfelMap:
     """Surfels as parallel arrays; cheap to transform and concatenate."""
 
-    __slots__ = ("positions", "normals", "colors", "weights", "radii", "t0", "t")
+    __slots__ = ("positions", "normals", "weights", "radii")
 
-    def __init__(self, positions, normals, colors, weights, radii, t0, t):
+    def __init__(self, positions, normals, weights, radii):
         self.positions = np.asarray(positions, dtype=float).reshape(-1, 3)
         self.normals = np.asarray(normals, dtype=float).reshape(-1, 3)
-        self.colors = np.asarray(colors, dtype=np.uint8).reshape(-1, 3)
         self.weights = np.asarray(weights, dtype=float).reshape(-1)
         self.radii = np.asarray(radii, dtype=float).reshape(-1)
-        self.t0 = np.asarray(t0, dtype=np.int64).reshape(-1)
-        self.t = np.asarray(t, dtype=np.int64).reshape(-1)
         n = len(self.positions)
-        for name in ("normals", "colors", "weights", "radii", "t0", "t"):
+        for name in ("normals", "weights", "radii"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"field {name} has wrong length")
 
     @classmethod
     def empty(cls) -> "SurfelMap":
-        return cls(
-            np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3), dtype=np.uint8),
-            np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-        )
+        return cls(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0), np.zeros(0))
 
     def __len__(self) -> int:
         return len(self.positions)
 
     def copy(self) -> "SurfelMap":
         return SurfelMap(
-            self.positions.copy(), self.normals.copy(), self.colors.copy(),
-            self.weights.copy(), self.radii.copy(), self.t0.copy(), self.t.copy(),
+            self.positions.copy(), self.normals.copy(), self.weights.copy(), self.radii.copy(),
         )
 
     def transformed(self, pose: Pose) -> "SurfelMap":
@@ -118,8 +106,7 @@ class SurfelMap:
         return SurfelMap(
             geo.quat_rotate(q, self.positions) + pose.t,
             geo.quat_rotate(q, self.normals),
-            self.colors.copy(), self.weights.copy(), self.radii.copy(),
-            self.t0.copy(), self.t.copy(),
+            self.weights.copy(), self.radii.copy(),
         )
 
     @staticmethod
@@ -130,30 +117,23 @@ class SurfelMap:
         return SurfelMap(
             np.concatenate([m.positions for m in maps]),
             np.concatenate([m.normals for m in maps]),
-            np.concatenate([m.colors for m in maps]),
             np.concatenate([m.weights for m in maps]),
             np.concatenate([m.radii for m in maps]),
-            np.concatenate([m.t0 for m in maps]),
-            np.concatenate([m.t for m in maps]),
         )
-
-    def total_weight(self) -> float:
-        return float(self.weights.sum())
 
 
 @dataclass
 class Fragment:
     """A k-frame sub-map fused in the coordinates of its reference frame.
 
-    ``local_poses`` keeps each member frame's pose relative to the anchor;
-    loop expansion needs those intra-fragment relations.
+    ``local_poses`` keeps each member frame's pose relative to the
+    reference frame; loop expansion needs those intra-fragment relations.
     """
 
     id: int
     first: int
     last: int
     ref_frame: int
-    anchor: Pose
     surfels: SurfelMap
     local_poses: dict = field(default_factory=dict)
 
@@ -244,11 +224,6 @@ def fuse_frame(map_: SurfelMap, frame: DepthFrame, pose: Pose, stride: int = 2) 
     pts_w = geo.quat_rotate(R_q, pts_cam) + pose.t
     normals_w = geo.quat_rotate(R_q, normals_cam)
 
-    if frame.color is not None:
-        colors = frame.color[vv, uu]
-    else:
-        colors = np.full((len(uu), 3), 128, dtype=np.uint8)
-
     f_mean = 0.5 * (cam.fx + cam.fy)
     radii = np.clip(z_obs / f_mean * stride * np.sqrt(2.0), MIN_RADIUS, MAX_RADIUS)
 
@@ -301,21 +276,12 @@ def fuse_frame(map_: SurfelMap, frame: DepthFrame, pose: Pose, stride: int = 2) 
         n_len = np.linalg.norm(n_sum, axis=-1, keepdims=True)
         out.normals[si] = np.where(n_len > 1e-12, n_sum / np.where(n_len > 0, n_len, 1.0),
                                    out.normals[si])
-        out.colors[si] = np.round(
-            (w * out.colors[si].astype(float) + colors[upd].astype(float)) / (w + 1.0)
-        ).astype(np.uint8)
         out.radii[si] = ((w[:, 0] * out.radii[si]) + radii[upd]) / (w[:, 0] + 1.0)
         out.weights[si] += 1.0
-        out.t[si] = frame.index
 
     new = ~upd
     if new.any():
-        fresh = SurfelMap(
-            pts_w[new], normals_w[new], colors[new],
-            np.ones(new.sum()), radii[new],
-            np.full(new.sum(), frame.index, dtype=np.int64),
-            np.full(new.sum(), frame.index, dtype=np.int64),
-        )
+        fresh = SurfelMap(pts_w[new], normals_w[new], np.ones(new.sum()), radii[new])
         out = SurfelMap.concatenate([out, fresh])
     return out
 
@@ -340,8 +306,7 @@ def build_fragments(frames, trajectory, k: int, stride: int = 2) -> list:
         block = frames[start:min(start + k, n)]
         ref_pos = start + (len(block) - 1) // 2
         ref_frame = frames[ref_pos].index
-        anchor = trajectory.pose(ref_frame)
-        anchor_inv = geo.inverse(anchor)
+        anchor_inv = geo.inverse(trajectory.pose(ref_frame))
         local_poses = {}
         fused = SurfelMap.empty()
         for fr in block:
@@ -349,7 +314,7 @@ def build_fragments(frames, trajectory, k: int, stride: int = 2) -> list:
             local_poses[fr.index] = local
             fused = fuse_frame(fused, fr, local, stride=stride)
         fragments.append(
-            Fragment(fid, block[0].index, block[-1].index, ref_frame, anchor, fused, local_poses)
+            Fragment(fid, block[0].index, block[-1].index, ref_frame, fused, local_poses)
         )
     return fragments
 
@@ -403,7 +368,8 @@ def fragment_consistent_trajectory(fragments, trajectory):
 # ---------------------------------------------------------------------------
 
 def write_ply(map_: SurfelMap, path) -> None:
-    """ASCII PLY with x y z nx ny nz red green blue per vertex."""
+    """ASCII PLY with x y z nx ny nz red green blue per vertex; surfels
+    carry no colour, so every vertex is grey 128."""
     with open(path, "w") as f:
         f.write("ply\nformat ascii 1.0\n")
         f.write(f"element vertex {len(map_)}\n")
@@ -412,38 +378,41 @@ def write_ply(map_: SurfelMap, path) -> None:
         for prop in ("red", "green", "blue"):
             f.write(f"property uchar {prop}\n")
         f.write("end_header\n")
-        for p, n, c in zip(map_.positions, map_.normals, map_.colors):
+        for p, n in zip(map_.positions, map_.normals):
             f.write(
-                "%.9g %.9g %.9g %.9g %.9g %.9g %d %d %d\n"
-                % (p[0], p[1], p[2], n[0], n[1], n[2], c[0], c[1], c[2])
+                "%.9g %.9g %.9g %.9g %.9g %.9g 128 128 128\n"
+                % (p[0], p[1], p[2], n[0], n[1], n[2])
             )
 
 
 def read_ply(path) -> SurfelMap:
-    """Read back the ASCII PLY layout written by write_ply."""
+    """Positions and normals from the ASCII PLY layout written by
+    write_ply; the colour columns are skipped."""
     with open(path) as f:
         line = f.readline().strip()
         if line != "ply":
-            raise ValueError(f"{path}: not a PLY file")
+            raise ParseError(f"{path}: not a PLY file")
         count = None
         while True:
             line = f.readline()
             if not line:
-                raise ValueError(f"{path}: truncated header")
+                raise ParseError(f"{path}: truncated header")
             if line.startswith("element vertex"):
-                count = int(line.split()[2])
+                try:
+                    count = int(line.split()[2])
+                except (IndexError, ValueError):
+                    raise ParseError(f"{path}: bad vertex count {line.strip()!r}") from None
             if line.strip() == "end_header":
                 break
         if count is None:
-            raise ValueError(f"{path}: missing vertex element")
-        data = np.loadtxt(f, ndmin=2) if count else np.zeros((0, 9))
+            raise ParseError(f"{path}: missing vertex element")
+        try:
+            data = np.loadtxt(f, ndmin=2) if count else np.zeros((0, 9))
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}") from None
     if data.shape != (count, 9):
-        raise ValueError(f"{path}: expected {count} rows of 9 values, got {data.shape}")
-    return SurfelMap(
-        data[:, 0:3], data[:, 3:6], data[:, 6:9].astype(np.uint8),
-        np.ones(count), np.full(count, 0.01),
-        np.zeros(count, dtype=np.int64), np.zeros(count, dtype=np.int64),
-    )
+        raise ParseError(f"{path}: expected {count} rows of 9 values, got {data.shape}")
+    return SurfelMap(data[:, 0:3], data[:, 3:6], np.ones(count), np.full(count, 0.01))
 
 
 def write_depth_raw(depth_m: np.ndarray, path, depth_scale: float) -> None:
@@ -473,11 +442,20 @@ def write_intrinsics(path, camera: CameraModel, depth_scale: float) -> None:
 
 
 def read_intrinsics(path):
+    """Camera and depth scale from one line ``fx fy cx cy width height
+    depth-scale``; a malformed line or an invalid camera is a ParseError
+    naming the file."""
     with open(path) as f:
         parts = f.read().split()
     if len(parts) != 7:
-        raise ValueError(f"{path}: expected 'fx fy cx cy width height depth-scale'")
-    fx, fy, cx, cy = (float(v) for v in parts[:4])
-    width, height = int(parts[4]), int(parts[5])
-    depth_scale = float(parts[6])
-    return CameraModel(fx, fy, cx, cy, width, height), depth_scale
+        raise ParseError(
+            f"{path}: expected 7 fields 'fx fy cx cy width height depth-scale', got {len(parts)}"
+        )
+    try:
+        fx, fy, cx, cy = (float(v) for v in parts[:4])
+        width, height = int(parts[4]), int(parts[5])
+        depth_scale = float(parts[6])
+        camera = CameraModel(fx, fy, cx, cy, width, height)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    return camera, depth_scale

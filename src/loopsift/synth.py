@@ -29,6 +29,14 @@ from .surfels import CameraModel, DepthFrame, write_depth_raw, write_intrinsics
 
 DEPTH_SCALE = 1000.0  # exported raw depth is in millimeters
 
+# the camera circles the room's center at this radius and mean height (m)
+PATH_RADIUS = 1.2
+PATH_HEIGHT = 1.4
+# gross but in-view wrong: larger offsets throw fragments out of the
+# cameras' view and the score loses contrast, not gains it
+FALSE_OFFSET_TRANS = (0.3, 0.8)  # meters
+FALSE_OFFSET_ROT_DEG = (10.0, 30.0)
+
 _FMT = "%.17g"
 
 
@@ -94,10 +102,7 @@ def _ray_plane(origins, dirs, plane, eps=1e-9):
     return np.where(valid, t, np.inf)
 
 
-def render_synthetic_depth(
-    scene, pose: Pose, camera: CameraModel, index: int = 0,
-    depth_noise: float = 0.0, rng=None,
-) -> DepthFrame:
+def render_synthetic_depth(scene, pose: Pose, camera: CameraModel, index: int = 0) -> DepthFrame:
     """Exact analytic depth of the scene from ``pose`` (camera-to-world).
 
     Ray parameters are measured against the unit-z camera ray, so the
@@ -123,10 +128,6 @@ def render_synthetic_depth(
         depth = np.minimum(depth, t)
 
     depth = np.where(np.isfinite(depth), depth, 0.0).reshape(H, W)
-    if depth_noise > 0.0:
-        if rng is None:
-            raise ValueError("depth_noise requires an rng")
-        depth = np.where(depth > 0, np.maximum(depth + rng.normal(0, depth_noise, depth.shape), 1e-3), 0.0)
     return DepthFrame(depth, camera, index)
 
 
@@ -162,8 +163,6 @@ class ScenarioConfig:
     width: int = 320
     height: int = 240
     focal: float = 250.0
-    path_radius: float = 1.2
-    path_height: float = 1.4
     revolutions: int = 2  # laps around the room; revisits enable loops everywhere
     sigma_odo_rot: float = 0.001  # rad per step
     sigma_odo_trans: float = 0.002  # meters per step
@@ -175,12 +174,7 @@ class ScenarioConfig:
     # (0.6..1.0 of the bound) instead of uniformly from zero; models
     # registrations of mixed quality that all report the same confidence
     true_noise_mix: float = 0.0
-    # gross but in-view wrong: larger offsets throw fragments out of the
-    # cameras' view and the score loses contrast, not gains it
-    false_offset_trans: tuple = (0.3, 0.8)
-    false_offset_rot_deg: tuple = (10.0, 30.0)
     min_loop_gap: int = 60
-    depth_noise: float = 0.0
 
     def camera(self) -> CameraModel:
         return CameraModel(
@@ -220,12 +214,12 @@ def stream(seed: int, tag: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, key])))
 
 
-def _path_pose(theta: float, phase: float, cfg: ScenarioConfig) -> Pose:
+def _path_pose(theta: float, phase: float) -> Pose:
     pos = np.array(
         [
-            cfg.path_radius * np.cos(theta),
-            cfg.path_radius * np.sin(theta),
-            cfg.path_height + 0.1 * np.sin(2.0 * phase),
+            PATH_RADIUS * np.cos(theta),
+            PATH_RADIUS * np.sin(theta),
+            PATH_HEIGHT + 0.1 * np.sin(2.0 * phase),
         ]
     )
     yaw = theta + 0.25 * np.sin(2.0 * phase)
@@ -269,15 +263,10 @@ def generate(config: ScenarioConfig, seed: int) -> Scenario:
     gt_poses = []
     for i in range(n):
         theta = 2.0 * np.pi * config.revolutions * i / n
-        gt_poses.append(_path_pose(theta, theta, config))
+        gt_poses.append(_path_pose(theta, theta))
     gt = Trajectory.from_poses(gt_poses)
 
-    depth_rng = stream(seed, "depth-noise") if config.depth_noise > 0 else None
-    frames = [
-        render_synthetic_depth(scene, p, camera, index=i,
-                               depth_noise=config.depth_noise, rng=depth_rng)
-        for i, p in enumerate(gt_poses)
-    ]
+    frames = [render_synthetic_depth(scene, p, camera, index=i) for i, p in enumerate(gt_poses)]
 
     odo = stream(seed, "odometry")
     noisy_poses = [gt_poses[0]]
@@ -324,7 +313,7 @@ def generate(config: ScenarioConfig, seed: int) -> Scenario:
                    + [1.0 / max(nominal * config.true_noise_trans, 1e-4) ** 2] * 3)
     true_rng = stream(seed, "loops-true")
     false_rng = stream(seed, "loops-false")
-    false_rot = tuple(np.deg2rad(v) for v in config.false_offset_rot_deg)
+    false_rot = tuple(np.deg2rad(v) for v in FALSE_OFFSET_ROT_DEG)
 
     n_sloppy = int(round(config.true_noise_mix * config.n_true_loops))
     # interleave sloppy slots across the anchor spread (odd slots first)
@@ -341,7 +330,7 @@ def generate(config: ScenarioConfig, seed: int) -> Scenario:
             offset = _bounded_offset(true_rng, config.true_noise_trans, rot_max, band=band)
             label = True
         else:
-            offset = _ranged_offset(false_rng, config.false_offset_trans, false_rot)
+            offset = _ranged_offset(false_rng, FALSE_OFFSET_TRANS, false_rot)
             label = False
         meas = geo.compose(rel_gt, offset)
         candidates.append(

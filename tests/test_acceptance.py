@@ -340,7 +340,7 @@ def test_criterion_6_numerical_invariants(tmp_path):
     # consistency-score rigid invariance within 1e-6
     cam = CameraModel(fx=60.0, fy=60.0, cx=15.5, cy=11.5, width=32, height=24)
     scene = synth.default_scene()
-    traj_poses = [synth._path_pose(0.3 * k, 0.3 * k, synth.ScenarioConfig()) for k in range(4)]
+    traj_poses = [synth._path_pose(0.3 * k, 0.3 * k) for k in range(4)]
     frames = [synth.render_synthetic_depth(scene, p, cam, index=k)
               for k, p in enumerate(traj_poses)]
     traj = Trajectory.from_poses(traj_poses)
@@ -362,11 +362,8 @@ def test_criterion_6_numerical_invariants(tmp_path):
     # SMD equals brute force on 100 x 200 random sets
     model_pts = rng.uniform(-2, 2, (100, 3))
     gt_pts = rng.uniform(-2, 2, (200, 3))
-    model = SurfelMap(
-        model_pts, np.tile([0.0, 0.0, 1.0], (100, 1)),
-        np.full((100, 3), 128, dtype=np.uint8), np.ones(100), np.full(100, 0.01),
-        np.zeros(100, dtype=np.int64), np.zeros(100, dtype=np.int64),
-    )
+    model = SurfelMap(model_pts, np.tile([0.0, 0.0, 1.0], (100, 1)),
+                      np.ones(100), np.full(100, 0.01))
     smd_fast = surface_mean_distance(model, gt_pts)
     smd_brute = float(np.mean([np.min(np.linalg.norm(gt_pts - p, axis=1)) for p in model_pts]))
     smd_err = abs(smd_fast - smd_brute)

@@ -111,6 +111,15 @@ def scenario_dir(tmp_path_factory):
     return path
 
 
+@pytest.fixture
+def scenario_run(scenario_dir, tmp_path):
+    """A private copy of the scenario and the output of one sift on it."""
+    input_dir, out = tmp_path / "scn", tmp_path / "sift"
+    shutil.copytree(scenario_dir, input_dir)
+    assert run_sift(input_dir, out) == 0
+    return input_dir, out
+
+
 class TestSiftCommand:
 
     def test_outputs_and_structure(self, scenario_dir, tmp_path, capsys):
@@ -249,6 +258,27 @@ class TestInputCrossChecks:
         self.expect_parse_error(dataset_run[0], tmp_path / "out", capsys,
                                 "matches.log: registered on 6 fragments, but --k 4", k="4")
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda fields: fields[:3], "intrinsics.txt: expected 7 fields"),
+        (lambda fields: fields[:2] + ["x"] + fields[3:], "intrinsics.txt: could not convert"),
+        (lambda fields: ["-" + fields[0]] + fields[1:],
+         "intrinsics.txt: focal lengths must be positive"),
+        (lambda fields: ["nan"] + fields[1:], "intrinsics.txt: focal lengths must be positive"),
+    ], ids=["field-count", "non-number", "negative-focal", "nan-focal"])
+    def test_malformed_intrinsics(self, edit, message, scenario_dir, tmp_path, capsys):
+        bad = tmp_path / "bad"
+        shutil.copytree(scenario_dir, bad)
+        fields = (bad / "intrinsics.txt").read_text().split()
+        (bad / "intrinsics.txt").write_text(" ".join(edit(fields)) + "\n")
+        self.expect_parse_error(bad, tmp_path / "out", capsys, message)
+
+    def test_truncated_depth_frame(self, scenario_dir, tmp_path, capsys):
+        bad = tmp_path / "bad"
+        shutil.copytree(scenario_dir, bad)
+        raw = bad / "depth" / "frame_000005.raw"
+        raw.write_bytes(raw.read_bytes()[:-2])
+        self.expect_parse_error(bad, tmp_path / "out", capsys, "frame_000005.raw: has")
+
 
 class TestEvalCommand:
     def test_eval_after_sift(self, tmp_path, capsys):
@@ -271,6 +301,25 @@ class TestEvalCommand:
         assert cli.main(["eval", "--input", str(input_dir), "--out", str(out)]) == 0
         assert read_metrics(out)["precision_pct"] == "-"
         assert not (out / "pr_curve.csv").exists()
+
+    def test_eval_decodes_no_depth(self, scenario_run):
+        input_dir, out = scenario_run
+        assert cli.main(["eval", "--input", str(input_dir), "--out", str(out)]) == 0
+        metrics = (out / "metrics.csv").read_bytes()
+        raw = input_dir / "depth" / "frame_000005.raw"
+        raw.write_bytes(raw.read_bytes()[:-2])
+        assert cli.main(["eval", "--input", str(input_dir), "--out", str(out)]) == 0
+        assert (out / "metrics.csv").read_bytes() == metrics
+
+    def test_truncated_model_fails_with_parse_code(self, scenario_run, capsys):
+        input_dir, out = scenario_run
+        model = out / "model_after.ply"
+        text = model.read_bytes()
+        model.write_bytes(text[: len(text) // 2])
+        capsys.readouterr()
+        code = cli.main(["eval", "--input", str(input_dir), "--out", str(out)])
+        assert code == cli.EXIT_PARSE
+        assert "model_after.ply" in capsys.readouterr().err
 
     def test_eval_without_sift_fails(self, tmp_path):
         scn = tmp_path / "scn"

@@ -15,9 +15,7 @@ def single_surfel_map(position, normal, radius):
     return sf.SurfelMap(
         np.array([position], dtype=float),
         np.array([normal], dtype=float),
-        np.full((1, 3), 128, dtype=np.uint8),
         np.ones(1), np.array([radius], dtype=float),
-        np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64),
     )
 
 
@@ -105,11 +103,8 @@ class TestScoreMap:
         map_ = sf.SurfelMap(
             np.array(positions),
             np.tile([0.0, 0.0, -1.0], (4, 1)),
-            np.full((4, 3), 128, dtype=np.uint8),
             np.ones(4),
             np.array([0.2, 0.4, 0.6, 0.8]),
-            np.zeros(4, dtype=np.int64),
-            np.zeros(4, dtype=np.int64),
         )
         obs = np.array([[1.1, 2.0], [2.5, 0.0]])
         frame = sf.DepthFrame(obs, cam, 0)

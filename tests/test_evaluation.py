@@ -12,10 +12,7 @@ from loopsift.surfels import SurfelMap
 def map_from_points(points):
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     n = len(points)
-    return SurfelMap(
-        points, np.tile([0.0, 0.0, -1.0], (n, 1)), np.full((n, 3), 128, dtype=np.uint8),
-        np.ones(n), np.full(n, 0.01), np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64),
-    )
+    return SurfelMap(points, np.tile([0.0, 0.0, -1.0], (n, 1)), np.ones(n), np.full(n, 0.01))
 
 
 class TestPrecisionRecall:

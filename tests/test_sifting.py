@@ -55,8 +55,7 @@ class TestExpandFragmentLoop:
                 first + k: Pose(t=np.array([0.1 * k - 0.1, 0.0, 0.0])) for k in range(3)
             }
             frags.append(
-                type("F", (), dict(id=fid, first=first, last=first + 2, ref_frame=ref,
-                                   anchor=Pose.identity(), surfels=None,
+                type("F", (), dict(id=fid, first=first, last=first + 2, ref_frame=ref, surfels=None,
                                    local_poses=local, frame_count=3))()
             )
         return frags
@@ -90,8 +89,7 @@ class TestExpandFragmentLoop:
         frags = []
         for fid, frame in enumerate([2, 8]):
             frags.append(
-                type("F", (), dict(id=fid, first=frame, last=frame, ref_frame=frame,
-                                   anchor=Pose.identity(), surfels=None,
+                type("F", (), dict(id=fid, first=frame, last=frame, ref_frame=frame, surfels=None,
                                    local_poses={frame: Pose.identity()}, frame_count=1))()
             )
         loop = sifting.LoopCandidate(
